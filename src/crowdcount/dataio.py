@@ -85,6 +85,8 @@ def read_dmap(path: Path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != DMAP_MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
+    if len(data) < 16:
+        raise ValueError(f"{path}: truncated DMAP header ({len(data)} of 16 bytes)")
     version, h, w = struct.unpack_from("<III", data, 4)
     if version != DMAP_VERSION:
         raise ValueError(f"{path}: unsupported DMAP version {version}")
@@ -156,15 +158,18 @@ def write_manifest(manifest: DatasetManifest, path: Path) -> None:
 def read_manifest(path: Path) -> DatasetManifest:
     path = Path(path)
     obj = load_json(path)
-    entries = [
-        ManifestEntry(
-            id=e["id"],
-            image_path=e["image_path"],
-            annotation_path=e["annotation_path"],
-            density_path=e["density_path"],
-            density_q_path=e["density_q_path"],
-            count=int(e["count"]),
-        )
-        for e in obj["images"]
-    ]
+    try:
+        entries = [
+            ManifestEntry(
+                id=e["id"],
+                image_path=e["image_path"],
+                annotation_path=e["annotation_path"],
+                density_path=e["density_path"],
+                density_q_path=e["density_q_path"],
+                count=int(e["count"]),
+            )
+            for e in obj["images"]
+        ]
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest lacks key {exc.args[0]!r}") from None
     return DatasetManifest(entries, root=path.parent, regime=obj.get("regime", "perfect"))

@@ -22,7 +22,7 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
@@ -59,6 +59,10 @@ class Network:
             raise ValueError(
                 f"declared output stride {output_stride} != composed stride {declared}"
             )
+        for col in columns:
+            # nothing consumes d(loss)/d(input), so the first conv skips it
+            if col.layers and col.layers[0].kind == "conv":
+                col.layers[0].input_grad = False
         self.name = name
         self.columns = columns
         self.head = head
@@ -74,17 +78,15 @@ class Network:
         fused = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
         return self.head.forward(fused)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
+        """Set every parameter's gradient; the input gradient is not computed."""
         if self._split is None:
             raise RuntimeError("network backward called before forward")
         grad = self.head.backward(grad)
-        grad_in = None
         offset = 0
         for col, width in zip(self.columns, self._split):
-            g = col.backward(grad[:, offset : offset + width])
+            col.backward(grad[:, offset : offset + width])
             offset += width
-            grad_in = g if grad_in is None else grad_in + g
-        return grad_in
 
     def parameters(self) -> list[Param]:
         params = []

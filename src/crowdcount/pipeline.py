@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -461,8 +461,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, config_echo: dict | Non
         log(f"stage dataset: loaded {len(manifest)} images from {cfg.dataset}")
     else:
         scene = cfg.scene
-        if scene.seed == 0:
-            scene = SceneConfig(**{**asdict(scene), "seed": derive_seed(cfg.seed, "scene")})
+        if scene.seed is None:
+            scene = replace(scene, seed=derive_seed(cfg.seed, "scene"))
         manifest = generate_dataset(scene, cfg.n_images, out_dir / "dataset", cfg.sigma)
         log(f"stage dataset: generated {len(manifest)} images "
             f"({scene.height}x{scene.width})")

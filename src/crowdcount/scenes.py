@@ -27,7 +27,7 @@ class SceneConfig:
     blob_radius_min: float = 1.0
     blob_radius_max: float = 2.5
     noise: float = 0.05
-    seed: int = 0
+    seed: int | None = None  # None: not chosen; an experiment derives one
 
     def __post_init__(self):
         if self.count_min > self.count_max:
@@ -59,6 +59,8 @@ class SceneConfig:
 
 def generate_scene(config: SceneConfig, index: int) -> tuple[np.ndarray, DotAnnotation]:
     """Render scene `index`: returns ([0,1] grayscale image, dot annotation)."""
+    if config.seed is None:
+        raise ValueError("scene seed is not set")
     h, w = config.height, config.width
     rng = np.random.default_rng([config.seed, index])
     n = int(rng.integers(config.count_min, config.count_max + 1))

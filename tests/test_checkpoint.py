@@ -57,6 +57,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(p)
 
+    def test_rejects_unsupported_pool_window(self, tmp_path):
+        p = tmp_path / "m.nnck"
+        save_checkpoint(build_mcnn(0.25, in_channels=1, seed=3), p)
+        raw = p.read_bytes()
+        assert b'"window": 2' in raw
+        p.write_bytes(raw.replace(b'"window": 2', b'"window": 3'))  # same length
+        with pytest.raises(ValueError, match="2x2"):
+            load_checkpoint(p)
+
     def test_rejects_trailing_garbage(self, tmp_path):
         net = build_mcnn(0.25, in_channels=1, seed=2)
         p = tmp_path / "m.nnck"

@@ -166,6 +166,58 @@ def test_eval_needs_exactly_one_source(dataset, checkpoint):
                    "--pred-manifest", dataset / "manifest.json") == 2
 
 
+def assert_clean_error(rc, capsys, *needles):
+    """Exit code 1 with an `error:` line naming each needle, no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    for needle in needles:
+        assert str(needle) in err, err
+
+
+def prediction_manifest(dataset, root):
+    """A copy of the dataset manifest under root, for predictions written there."""
+    obj = json.loads((dataset / "manifest.json").read_text())
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps(obj))
+    return root / "manifest.json", obj["images"]
+
+
+def test_eval_truncated_dmap_header_is_error(dataset, tmp_path, capsys):
+    pm, images = prediction_manifest(dataset, tmp_path / "pred")
+    first = tmp_path / "pred" / images[0]["density_q_path"]
+    first.parent.mkdir(parents=True)
+    whole = (dataset / images[0]["density_q_path"]).read_bytes()
+    for cut in range(16):
+        first.write_bytes(whole[:cut])
+        rc = run_cli("eval", "--dataset", dataset / "manifest.json",
+                     "--pred-manifest", pm)
+        assert_clean_error(rc, capsys, first)
+
+
+def test_eval_truncated_checkpoint_is_error(dataset, tmp_path, capsys):
+    from crowdcount.nn import Conv2d, Network, Sequential, save_checkpoint
+
+    net = Network("tiny", [Sequential([Conv2d(1, 1, 1)])], Sequential([]), 1)
+    whole_path = tmp_path / "whole.nnck"
+    save_checkpoint(net, whole_path)
+    whole = whole_path.read_bytes()
+    cut_path = tmp_path / "cut.nnck"
+    for cut in range(len(whole)):  # fixed header, structure and every tensor
+        cut_path.write_bytes(whole[:cut])
+        rc = run_cli("eval", "--dataset", dataset / "manifest.json",
+                     "--checkpoint", cut_path)
+        assert_clean_error(rc, capsys, cut_path)
+
+
+def test_eval_manifest_missing_key_is_error(dataset, tmp_path, capsys):
+    pm, images = prediction_manifest(dataset, tmp_path / "pred")
+    del images[0]["density_q_path"]
+    pm.write_text(json.dumps({"images": images, "regime": "perfect"}))
+    rc = run_cli("eval", "--dataset", dataset / "manifest.json", "--pred-manifest", pm)
+    assert_clean_error(rc, capsys, pm, "'density_q_path'")
+
+
 def experiment_config(tmp_path):
     cfg = {
         "name": "cli_smoke",

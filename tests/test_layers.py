@@ -13,6 +13,7 @@ from crowdcount.nn import (
     relu_backward,
     relu_forward,
 )
+from crowdcount.models import build_model
 from crowdcount.nn.layers import conv_output_size, layer_from_spec
 
 
@@ -113,6 +114,60 @@ class TestConvBackward:
                     assert abs(fd - gflat[idx]) / denom < 1e-6
 
 
+class TestConvKernelLadder:
+    """The kernel shapes the reference models use, at batch 3."""
+
+    CASES = [(1, 2, 9, 1), (1, 2, 7, 1), (1, 3, 5, 1), (2, 3, 3, 2)]  # cin, cout, k, dilation
+
+    @pytest.mark.parametrize("cin,cout,k,dilation", CASES)
+    def test_forward_matches_brute_force(self, cin, cout, k, dilation):
+        rng = np.random.default_rng([k, dilation])
+        pad = dilation * (k - 1) // 2
+        x = rng.normal(size=(3, cin, 10, 10))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        got = conv2d_forward(x, w, b, 1, pad, dilation)
+        np.testing.assert_allclose(got, conv_brute_force(x, w, b, 1, pad, dilation),
+                                   rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("cin,cout,k,dilation", CASES)
+    def test_backward_matches_finite_differences(self, cin, cout, k, dilation):
+        rng = np.random.default_rng([k, dilation, 1])
+        pad = dilation * (k - 1) // 2
+        x = rng.normal(size=(3, cin, 10, 10))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        r = rng.normal(size=(3, cout, 10, 10))  # linear readout weights
+        gx, gw, gb = conv2d_backward(x, w, r, 1, pad, dilation)
+
+        def loss():
+            return float((conv2d_forward(x, w, b, 1, pad, dilation) * r).sum())
+
+        h = 1e-5
+        for arr, grad in ((x, gx), (w, gw), (b, gb)):
+            flat = arr.reshape(-1)
+            for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):
+                old = flat[idx]
+                flat[idx] = old + h
+                up = loss()
+                flat[idx] = old - h
+                down = loss()
+                flat[idx] = old
+                fd = (up - down) / (2 * h)
+                assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_skipping_input_grad_keeps_parameter_grads(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 1, 10, 10))
+        w = rng.normal(size=(2, 1, 9, 9))
+        g = rng.normal(size=(3, 2, 10, 10))
+        gx, gw, gb = conv2d_backward(x, w, g, 1, 4, 1)
+        none, gw2, gb2 = conv2d_backward(x, w, g, 1, 4, 1, input_grad=False)
+        assert gx is not None and none is None
+        np.testing.assert_array_equal(gw, gw2)
+        np.testing.assert_array_equal(gb, gb2)
+
+
 class TestMaxPool:
     def test_matches_brute_force(self):
         x = np.random.default_rng(3).normal(size=(2, 3, 8, 8))
@@ -151,6 +206,26 @@ class TestMaxPool:
     def test_rejects_indivisible_input(self):
         with pytest.raises(ValueError):
             maxpool_forward(np.zeros((1, 1, 5, 6)), 2, 2)
+
+    def test_all_binary_windows_route_to_first_maximum(self):
+        # every 2x2 window of zeros and ones, one window per channel
+        bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+        x = bits.reshape(1, 16, 2, 2).astype(np.float64)
+        out, idx = maxpool_forward(x, 2, 2)
+        grad = maxpool_backward(idx, np.ones_like(out), x.shape)
+        for c in range(16):
+            window = x[0, c].reshape(-1)
+            expect = np.zeros(4)
+            expect[np.flatnonzero(window == window.max())[0]] = 1.0
+            assert out[0, c, 0, 0] == window.max()
+            np.testing.assert_array_equal(grad[0, c].reshape(-1), expect)
+
+    @pytest.mark.parametrize("window,stride", [(3, 3), (2, 1), (3, 2)])
+    def test_rejects_other_windows(self, window, stride):
+        with pytest.raises(ValueError, match="2x2"):
+            maxpool_forward(np.zeros((1, 1, 6, 6)), window, stride)
+        with pytest.raises(ValueError, match="2x2"):
+            MaxPool2d(window, stride)
 
 
 class TestReLU:
@@ -214,6 +289,17 @@ class TestLayerClasses:
     def test_param_count(self):
         layer = Conv2d(3, 8, 3)
         assert layer.param_count() == 3 * 8 * 9 + 8
+
+    @pytest.mark.parametrize("arch,width", [("csrnet_lite", 0.25), ("mcnn", 0.5)])
+    def test_network_backward_sets_every_gradient(self, arch, width):
+        net = build_model(arch, width, in_channels=1, seed=0)
+        x = np.random.default_rng(2).uniform(size=(2, 1, 16, 16)).astype(np.float32)
+        _, grad = mse_loss(net.forward(x), np.zeros((2, 1, 4, 4), np.float32))
+        net.backward(grad)
+        for p in net.parameters():
+            assert p.grad is not None and p.grad.shape == p.data.shape
+        firsts = [col.layers[0] for col in net.columns]
+        assert all(layer.weight.grad.any() for layer in firsts)
 
     def test_pool_and_relu_roundtrip_shapes(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8)).astype(np.float32)

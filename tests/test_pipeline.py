@@ -29,7 +29,7 @@ from crowdcount.pipeline import (
     split_dataset,
     train,
 )
-from crowdcount.scenes import SceneConfig, generate_dataset
+from crowdcount.scenes import SceneConfig, generate_dataset, generate_scene
 
 
 def fake_manifest(n):
@@ -574,3 +574,22 @@ def test_experiment_report_excludes_wall_clock():
     assert "wall_clock" not in flat
     assert "12.5" not in flat
     assert d["curves"]["annotator"]["best_epoch"] == 0
+
+
+def test_experiment_keeps_explicit_scene_seed_zero(tmp_path):
+    from crowdcount.pipeline import run_experiment
+
+    d = reference_dict()
+    d["scene"].update(height=48, width=48, seed=0)  # SSIM needs maps of 11x11 or more
+    d.update(n_images=4, regimes=["perfect"], annotator={"arch": "mcnn", "width": 0.125},
+             targets=[{"arch": "mcnn", "width": 0.125}])
+    d["train"].update(max_epochs=1, patience=1)
+    cfg = ExperimentConfig.from_dict(d)
+    run_experiment(cfg, tmp_path / "run", quiet=True)
+    manifest = dataio.read_manifest(tmp_path / "run" / "dataset" / "manifest.json")
+    scene = SceneConfig(**d["scene"])
+    for i, entry in enumerate(manifest.images):
+        image, _ = generate_scene(scene, i)
+        dataio.write_pgm(image, tmp_path / "expect.pgm")
+        assert (manifest.resolve(entry.image_path).read_bytes()
+                == (tmp_path / "expect.pgm").read_bytes())
